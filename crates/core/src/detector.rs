@@ -129,8 +129,8 @@ impl NodeSource for [NodeInput] {
     }
 }
 
-/// The trained detector.
-#[derive(Serialize, Deserialize)]
+/// The trained detector. A clone starts with cold inference pools.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct NodeSentry {
     pub cfg: NodeSentryConfig,
     pub preprocessor: Preprocessor,
@@ -373,24 +373,23 @@ impl NodeSentry {
         if include_segments {
             serde_json::to_string(self)
         } else {
-            let slim = NodeSentry {
+            serde_json::to_string(&self.deployment())
+        }
+    }
+
+    /// The slim deployment layout that `to_json(false)` writes and
+    /// [`NodeSentry::fingerprint`] hashes. One builder for both keeps the
+    /// saved artifact and its digest covering exactly the same fields.
+    fn deployment(&self) -> Deployment<'_> {
+        Deployment {
+            detector: NodeSentry {
                 cfg: self.cfg.clone(),
                 preprocessor: self.preprocessor.clone(),
                 cluster_model: self.cluster_model.clone(),
                 shared_models: Vec::new(),
                 train_segments: Vec::new(),
-            };
-            // Serialise the models by reference to avoid cloning every
-            // ParamStore.
-            #[derive(serde::Serialize)]
-            struct OnDisk<'a> {
-                detector: &'a NodeSentry,
-                models: &'a [SharedModel],
-            }
-            serde_json::to_string(&OnDisk {
-                detector: &slim,
-                models: &self.shared_models,
-            })
+            },
+            models: &self.shared_models,
         }
     }
 
@@ -399,19 +398,19 @@ impl NodeSentry {
     /// (training segments excluded — deployment state does not depend on
     /// them). Engine snapshots embed this so a restore against a
     /// different model is rejected instead of silently producing
-    /// non-equivalent verdicts. FNV-1a over the canonical slim JSON
-    /// serialization, which is deterministic (insertion-ordered objects,
-    /// exact float formatting).
+    /// non-equivalent verdicts.
+    ///
+    /// FNV-1a 64 over the structure of the slim deployment value that
+    /// `to_json(false)` writes, with no text formatting: one tag byte per
+    /// variant, a length for every array, object and string, the bytes of
+    /// every key and string, and `f64::to_bits` for every float (so `-0.0`,
+    /// infinities and NaN payloads are all told apart). Warm inference
+    /// pools serialise as null and training segments are left out, so
+    /// neither moves it; a 1-ulp change to any weight does.
     pub fn fingerprint(&self) -> u64 {
-        let json = self
-            .to_json(false)
-            .unwrap_or_else(|e| format!("unserializable:{e}"));
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in json.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        let mut h = Fnv1a64::new();
+        h.value(&self.deployment().to_value());
+        h.0
     }
 
     /// Restore a detector saved by [`NodeSentry::to_json`].
@@ -429,6 +428,79 @@ impl NodeSentry {
             });
         }
         serde_json::from_str(json)
+    }
+}
+
+/// The slim on-disk envelope: the detector without its training segments
+/// or models, and the models serialised by reference to avoid cloning
+/// every ParamStore.
+#[derive(Serialize)]
+struct Deployment<'a> {
+    detector: NodeSentry,
+    models: &'a [SharedModel],
+}
+
+/// FNV-1a 64 fed with a [`serde::Value`] tree's structure.
+struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn length(&mut self, n: usize) {
+        self.bytes(&(n as u64).to_le_bytes());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.length(s.len());
+        self.bytes(s.as_bytes());
+    }
+
+    fn value(&mut self, v: &serde::Value) {
+        use serde::Value;
+        match v {
+            Value::Null => self.bytes(&[0]),
+            Value::Bool(b) => self.bytes(&[1, *b as u8]),
+            Value::I64(n) => {
+                self.bytes(&[2]);
+                self.bytes(&n.to_le_bytes());
+            }
+            Value::U64(n) => {
+                self.bytes(&[3]);
+                self.bytes(&n.to_le_bytes());
+            }
+            Value::F64(x) => {
+                self.bytes(&[4]);
+                self.bytes(&x.to_bits().to_le_bytes());
+            }
+            Value::Str(s) => {
+                self.bytes(&[5]);
+                self.str(s);
+            }
+            Value::Array(items) => {
+                self.bytes(&[6]);
+                self.length(items.len());
+                for item in items {
+                    self.value(item);
+                }
+            }
+            Value::Object(pairs) => {
+                self.bytes(&[7]);
+                self.length(pairs.len());
+                for (k, item) in pairs {
+                    self.str(k);
+                    self.value(item);
+                }
+            }
+        }
     }
 }
 
@@ -700,6 +772,48 @@ mod tests {
         let json_full = ns.to_json(true).unwrap();
         let restored_full = NodeSentry::from_json(&json_full).unwrap();
         assert_eq!(restored_full.train_segments.len(), ns.train_segments.len());
+    }
+
+    /// A clone of `ns` with shared model 0's first weight rewritten by
+    /// `f`. `get_mut` bumps the store's version, and every caller bumps it
+    /// exactly once, so two results differ only in that weight's bits.
+    fn with_first_weight(ns: &NodeSentry, f: impl FnOnce(f64) -> f64) -> NodeSentry {
+        let mut m = ns.clone();
+        let w = &mut m.shared_models[0].params.get_mut(0).as_mut_slice()[0];
+        *w = f(*w);
+        m
+    }
+
+    #[test]
+    fn fingerprint_sees_every_weight_bit() {
+        let (nodes, groups, split) = synthetic_nodes(600);
+        let ns = NodeSentry::fit(quick_cfg(), &nodes, &groups, split);
+        let fp = |f: fn(f64) -> f64| with_first_weight(&ns, f).fingerprint();
+        assert_eq!(fp(|w| w), fp(|w| w), "the digest is deterministic");
+        assert_ne!(fp(|w| w), fp(|w| f64::from_bits(w.to_bits() + 1)), "1 ulp");
+        assert_ne!(fp(|_| 0.0), fp(|_| -0.0), "signed zeros");
+        // JSON writes both non-finite values as `null`, so a hash of the
+        // text could not tell them apart.
+        assert_ne!(fp(|_| f64::INFINITY), fp(|_| f64::NAN), "+inf vs NaN");
+    }
+
+    #[test]
+    fn fingerprint_ignores_clones_warm_pools_and_training_segments() {
+        let (nodes, groups, split) = synthetic_nodes(600);
+        let mut ns = NodeSentry::fit(quick_cfg(), &nodes, &groups, split);
+        let fp = ns.fingerprint();
+        assert_eq!(ns.clone().fingerprint(), fp, "clone");
+        let seg = ns.train_segments[0].data.clone();
+        let model = &ns.shared_models[0];
+        model.score_series(&seg);
+        model.score_series_f32(&seg);
+        assert_ne!(format!("{:?}", model.infer), "SessionPool(0 warm)");
+        assert_ne!(format!("{:?}", model.infer32), "SessionPoolF32(0 warm)");
+        assert_eq!(ns.fingerprint(), fp, "warm infer/infer32 pools");
+        ns.train_segments.truncate(1);
+        assert_eq!(ns.fingerprint(), fp, "fewer training segments");
+        ns.train_segments.clear();
+        assert_eq!(ns.fingerprint(), fp, "no training segments");
     }
 
     #[test]

@@ -94,7 +94,7 @@ struct TrainWindow {
 }
 
 /// One cluster's shared reconstruction model.
-#[derive(Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct SharedModel {
     pub params: ParamStore,
     pub model: ReconstructionTransformer,

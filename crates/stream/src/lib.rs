@@ -1588,8 +1588,10 @@ impl Engine {
     }
 
     pub fn try_new(model: Arc<NodeSentry>, cfg: EngineConfig) -> Result<Self, EngineError> {
+        let model_fingerprint = model.fingerprint();
         Self::spawn(
             model,
+            model_fingerprint,
             cfg,
             Vec::new(),
             StreamStats::default(),
@@ -1598,9 +1600,11 @@ impl Engine {
     }
 
     /// Spawn the worker pool, seeding shard `i` with `init[i]` (restored
-    /// node states + quarantined ids) when provided.
+    /// node states + quarantined ids) when provided. `model_fingerprint`
+    /// is `model.fingerprint()`, computed once by the caller.
     fn spawn(
         model: Arc<NodeSentry>,
+        model_fingerprint: u64,
         cfg: EngineConfig,
         mut init: Vec<(FxHashMap<usize, NodeState>, FxHashSet<usize>)>,
         carried_stats: StreamStats,
@@ -1611,7 +1615,6 @@ impl Engine {
         }
         let n_shards = cfg.n_shards.max(1);
         init.resize_with(n_shards, Default::default);
-        let model_fingerprint = model.fingerprint();
         status::on_engine_spawn(model_fingerprint, n_shards, &cfg);
         metrics::install_pool_stats();
         // Oversubscription clamp: every shard worker dispatches its
@@ -1732,7 +1735,14 @@ impl Engine {
         for &q in &snap.quarantined {
             init[q % n_shards].1.insert(q);
         }
-        let engine = Self::spawn(model, cfg, init, snap.carried_stats, snap.carried_faults)?;
+        let engine = Self::spawn(
+            model,
+            fp,
+            cfg,
+            init,
+            snap.carried_stats,
+            snap.carried_faults,
+        )?;
         snapshot_metrics()
             .restore_seconds
             .observe(t0.elapsed().as_secs_f64());

@@ -582,8 +582,9 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
     Ok((frame, total))
 }
 
-/// FNV-1a 64 over a byte slice — same constants as the `NSSN` snapshot
-/// envelope and the model fingerprint.
+/// FNV-1a 64 over a byte slice: the checksum of this frame envelope and
+/// of the `NSSN` snapshot envelope. The model fingerprint runs the same
+/// hash over the model's value tree rather than over bytes of text.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -3,9 +3,14 @@
 //! identically — both the slim deployment envelope (no training
 //! segments) and the full layout.
 
+#[path = "snapshot_common/mod.rs"]
+mod common;
+
 use nodesentry::core::{CoarseConfig, NodeInput, NodeSentry, NodeSentryConfig, SharingConfig};
 use nodesentry::features::FeatureCatalog;
+use nodesentry::stream::Engine;
 use nodesentry::telemetry::DatasetProfile;
+use std::sync::Arc;
 
 fn quick_cfg() -> NodeSentryConfig {
     NodeSentryConfig {
@@ -81,6 +86,45 @@ fn fit_serialize_deserialize_scores_identically() {
         let json2 = restored.to_json(include_segments).expect("re-serialize");
         assert_eq!(json, json2, "serialization not stable across a round-trip");
     }
+}
+
+/// The cross-process restore contract: a process that loads the model
+/// from its JSON artifact computes the same fingerprint as the process
+/// that trained it, so it accepts that process's snapshots and resumes
+/// them bit for bit.
+#[test]
+fn reloaded_model_keeps_its_fingerprint_and_restores_a_live_snapshot() {
+    let s = common::setup();
+    for include_segments in [false, true] {
+        let json = s.model.to_json(include_segments).expect("serialize");
+        let reloaded = NodeSentry::from_json(&json).expect("deserialize");
+        assert_eq!(
+            reloaded.fingerprint(),
+            s.model.fingerprint(),
+            "fingerprint moved across to_json({include_segments}) -> from_json"
+        );
+    }
+
+    let reloaded = Arc::new(
+        NodeSentry::from_json(&s.model.to_json(false).expect("serialize")).expect("deserialize"),
+    );
+    let reference = common::run_uninterrupted(s, &s.clean, common::engine_cfg(s, 2));
+    let cut = (s.ds.split + (s.ds.horizon() - s.ds.split) / 2) * s.ds.n_nodes();
+    let live = Engine::new(Arc::clone(&s.model), common::engine_cfg(s, 2));
+    for chunk in s.clean[..cut].chunks(common::CHUNK) {
+        live.ingest(chunk.to_vec()).expect("prefix shard alive");
+    }
+    let ckpt = live.checkpoint().expect("checkpoint");
+    drop(live);
+    let resumed = Engine::restore_bytes(reloaded, common::engine_cfg(s, 2), &ckpt.bytes)
+        .expect("the reloaded model accepts the live model's snapshot");
+    for chunk in s.clean[cut..].chunks(common::CHUNK) {
+        resumed.ingest(chunk.to_vec()).expect("tail shard alive");
+    }
+    let mut verdicts = ckpt.verdicts;
+    verdicts.extend(resumed.finish().verdicts);
+    verdicts.sort_by_key(|v| (v.node, v.step));
+    common::assert_verdicts_identical(&verdicts, &reference.verdicts, "reloaded model");
 }
 
 // ---------------------------------------------------------------------
