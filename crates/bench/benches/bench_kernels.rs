@@ -22,12 +22,11 @@
 //! perf table and CI artifacts.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ns_bench::write_bench_json;
+use ns_bench::{median_ns, write_bench_json};
 use ns_linalg::kernels;
 use ns_linalg::matrix::Matrix;
 use ns_linalg::matrix_f32::MatrixF32;
 use serde_json::json;
-use std::time::Instant;
 
 const N: usize = 4096;
 
@@ -39,20 +38,6 @@ fn series(seed: usize) -> Vec<f64> {
 
 fn series_f32(seed: usize) -> Vec<f32> {
     series(seed).into_iter().map(|v| v as f32).collect()
-}
-
-fn median_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..5)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_secs_f64() * 1e9 / iters as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[2]
 }
 
 fn bench_kernels(c: &mut Criterion) {

@@ -13,11 +13,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use nodesentry_core::coarse::ClusterModel;
 use nodesentry_core::sharing::{SharedModel, SharingConfig};
-use ns_bench::write_bench_json;
+use ns_bench::{median_ns, write_bench_json};
 use ns_linalg::matrix::Matrix;
 use ns_nn::{BlockKind, ParamStore, ReconstructionTransformer, SessionPool, TransformerConfig};
 use serde_json::json;
-use std::time::Instant;
 
 const BURSTS: [usize; 3] = [1, 8, 64];
 
@@ -137,22 +136,6 @@ fn bench_match(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-/// Median nanoseconds per call of `f` over `iters` calls, from five
-/// samples (the median rides out host-jitter outliers either way).
-fn median_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..5)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_secs_f64() * 1e9 / iters as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[2]
 }
 
 fn write_report() {

@@ -275,6 +275,23 @@ pub fn write_bench_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
+/// Median nanoseconds per call of `f` over `iters` calls, from five
+/// samples (the median rides out host-jitter outliers either way). The
+/// manual timing pass of the `benches/` micro-benchmarks.
+pub fn median_ns(iters: usize, mut f: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..5)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            start.elapsed().as_secs_f64() * 1e9 / iters as f64
+        })
+        .collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
+    samples[2]
+}
+
 /// Print a Table 4-style row.
 pub fn print_method_row(r: &MethodResult) {
     println!(

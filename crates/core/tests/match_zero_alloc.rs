@@ -7,21 +7,30 @@
 //! per probe.)
 //!
 //! Lives in its own integration-test binary so the `#[global_allocator]`
-//! swap cannot perturb any other test.
+//! swap cannot perturb any other test. The count is per thread, so the
+//! harness running the other test concurrently cannot leak into it.
 
 use nodesentry_core::coarse::ClusterModel;
 use ns_linalg::matrix::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and drop-free: touching it never allocates,
+    // so the allocator can bump it without recursing.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct Counting;
 
 // SAFETY: delegates verbatim to `System`; only adds a counter.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -30,7 +39,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -38,10 +47,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
+/// Allocations `f` makes on the calling thread.
 fn allocations(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 /// A hand-built library: 12 centroids over 96 probe features, constructed

@@ -387,15 +387,35 @@ fn encode_payload(f: &Frame, out: &mut Vec<u8>) {
     }
 }
 
+/// Exact byte length [`encode_payload`] writes for `f`, so
+/// [`encode_frame`] allocates its buffer once.
+fn encoded_payload_len(f: &Frame) -> usize {
+    match f {
+        Frame::Hello { precision, .. } => 1 + 8 + precision.is_some() as usize,
+        Frame::Tick(t) => 8 + 8 + 1 + 4 + 8 * t.values.len(),
+        Frame::Finish => 0,
+        Frame::Verdict(_) => 8 + 8 + 8 + 1 + 8 + 1,
+        Frame::Report(_) => 4 * 8,
+        Frame::Error { msg, .. } => 1 + 4 + msg.len(),
+        Frame::Ping { .. } | Frame::Pong { .. } => 8,
+    }
+}
+
 /// Encode one frame into its complete wire envelope.
 pub fn encode_frame(f: &Frame) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+    let expected_len = encoded_payload_len(f);
+    let mut out = Vec::with_capacity(HEADER_LEN + expected_len + TRAILER_LEN);
     out.extend_from_slice(&WIRE_MAGIC);
     out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
     out.push(f.kind());
     let len_at = out.len();
     out.extend_from_slice(&0u32.to_le_bytes());
     encode_payload(f, &mut out);
+    debug_assert_eq!(
+        out.len() - HEADER_LEN,
+        expected_len,
+        "encoded_payload_len disagrees with encode_payload"
+    );
     let payload_len = (out.len() - HEADER_LEN) as u32;
     debug_assert!(payload_len <= MAX_PAYLOAD_LEN, "frame exceeds payload cap");
     out[len_at..len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
@@ -481,10 +501,10 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, WireError> {
                     payload.len() - pos
                 )));
             }
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                values.push(f64::from_bits(take_u64(payload, &mut pos)?));
-            }
+            let values = take(payload, &mut pos, n * 8)?
+                .chunks_exact(8)
+                .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
+                .collect();
             Frame::Tick(Tick {
                 node,
                 step,
@@ -676,8 +696,9 @@ pub fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Frame>, WireError
     // Validate the prefix before reading a payload sized from it.
     match decode_frame(&header) {
         Err(WireError::Truncated { expected, .. }) => {
-            let mut rest = vec![0u8; expected - HEADER_LEN];
-            r.read_exact(&mut rest).map_err(|e| {
+            let mut whole = vec![0u8; expected];
+            whole[..HEADER_LEN].copy_from_slice(&header);
+            r.read_exact(&mut whole[HEADER_LEN..]).map_err(|e| {
                 if e.kind() == std::io::ErrorKind::UnexpectedEof {
                     WireError::Truncated {
                         expected,
@@ -687,8 +708,6 @@ pub fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Frame>, WireError
                     WireError::from(e)
                 }
             })?;
-            let mut whole = header.to_vec();
-            whole.extend_from_slice(&rest);
             decode_frame(&whole).map(|(f, _)| Some(f))
         }
         // An 11-byte frame cannot exist (the trailer alone is 8 more),
@@ -947,5 +966,77 @@ mod tests {
             read_frame(&mut torn),
             Err(WireError::Truncated { .. })
         ));
+    }
+
+    /// Seal a hand-built payload into a checksum-valid frame of `kind`,
+    /// so the payload decoder (not the checksum) is what gets exercised.
+    fn sealed(kind: u8, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&WIRE_MAGIC);
+        bytes.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+        bytes.push(kind);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        let sum = fnv1a64(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    /// A tick payload declaring `count` values and carrying `present`.
+    fn tick_payload(count: u32, present: usize) -> Vec<u8> {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&3u64.to_le_bytes());
+        payload.extend_from_slice(&4u64.to_le_bytes());
+        payload.push(1);
+        payload.extend_from_slice(&count.to_le_bytes());
+        for i in 0..present {
+            payload.extend_from_slice(&(i as f64).to_bits().to_le_bytes());
+        }
+        payload
+    }
+
+    #[test]
+    fn widest_tick_roundtrips_exotic_floats_by_bits() {
+        // node + step + transition + count, then 8 bytes per value.
+        let n = (MAX_PAYLOAD_LEN as usize - (8 + 8 + 1 + 4)) / 8;
+        assert_eq!(n, 131_069);
+        let exotic = [
+            f64::from_bits(0x7ff8_0000_dead_beef), // NaN with a payload
+            -0.0,
+            f64::NEG_INFINITY,
+            f64::from_bits(1), // smallest subnormal
+        ];
+        let mut values: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 7.0).collect();
+        values[..exotic.len()].copy_from_slice(&exotic);
+        values[n - exotic.len()..].copy_from_slice(&exotic);
+        let f = Frame::Tick(Tick {
+            node: 11,
+            step: 12,
+            values,
+            transition: false,
+        });
+        let bytes = encode_frame(&f);
+        assert_eq!(
+            bytes.len(),
+            HEADER_LEN + MAX_PAYLOAD_LEN as usize - 3 + TRAILER_LEN
+        );
+        let (back, used) = decode_frame(&bytes).expect("widest tick decodes");
+        assert_eq!(used, bytes.len());
+        assert_frames_eq(&f, &back);
+    }
+
+    #[test]
+    fn tick_count_one_past_the_values_is_typed() {
+        let bytes = sealed(1, &tick_payload(6, 5));
+        assert!(matches!(decode_frame(&bytes), Err(WireError::Decode(_))));
+    }
+
+    #[test]
+    fn tick_count_one_short_of_the_values_is_typed() {
+        // The undeclared value's eight bytes trail the payload.
+        let bytes = sealed(1, &tick_payload(4, 5));
+        assert!(matches!(decode_frame(&bytes), Err(WireError::Decode(_))));
+        // Sanity: the same bytes with the right count decode.
+        assert!(decode_frame(&sealed(1, &tick_payload(5, 5))).is_ok());
     }
 }
